@@ -223,7 +223,7 @@ fn lock_order_rule_waiver_covers_each_acquisition_site() {
 #[test]
 fn lock_order_rule_fires_on_same_class_reentry() {
     let report = analyze(
-        "crates/flb-par/src/shared.rs",
+        "crates/flb-bench/src/mailboxes.rs",
         include_str!("golden/lock_order_reentry_violating.rs"),
     );
     let got = unwaived(&report);
@@ -243,7 +243,7 @@ fn lock_order_rule_fires_on_same_class_reentry() {
 #[test]
 fn lock_order_reentry_waiver_names_the_index_order_argument() {
     let report = analyze(
-        "crates/flb-par/src/shared.rs",
+        "crates/flb-bench/src/mailboxes.rs",
         include_str!("golden/lock_order_reentry_waived.rs"),
     );
     assert_eq!(unwaived(&report), [], "full: {:#?}", report.findings);

@@ -1,9 +1,9 @@
 //! Golden input: same-class re-entry on an indexed lock collection —
-//! the lock class the sharded scheduler introduces (one `Mutex` per
-//! shard mailbox). Holding two members at once deadlocks the moment a
+//! the lock class a sharded design introduces (one `Mutex` per shard
+//! mailbox). Holding two members at once deadlocks the moment a
 //! second thread takes them in the opposite index order, and no static
 //! analysis can prove the indices ordered.
-//! Analyzed as `crates/flb-par/src/shared.rs`.
+//! Analyzed as `crates/flb-bench/src/mailboxes.rs`.
 
 use parking_lot::Mutex;
 

@@ -1,7 +1,7 @@
 //! Golden input: the same same-class re-entry, waived with the one
 //! argument that makes it sound — a crate-wide total order on the
 //! indices, which is exactly what the analysis cannot see.
-//! Analyzed as `crates/flb-par/src/shared.rs`.
+//! Analyzed as `crates/flb-bench/src/mailboxes.rs`.
 
 use parking_lot::Mutex;
 

@@ -10,26 +10,10 @@
 //!       [--trace PATH] [--rounds N] [--workers W]
 //!       [--json PATH] [--baseline PATH] [--max-regression F]`
 
-use flb_bench::kernel_bench::{self, DEFAULT_MAX_REGRESSION};
+use flb_bench::cli::{flag_value, gate_against_baseline, parse_or_die, write_artifact};
 use flb_bench::replay_bench::{self, ReplayBenchSpec};
 use flb_bench::report::fmt_seconds;
 use std::path::PathBuf;
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_or_die<T: std::str::FromStr>(text: &str, what: &str) -> T
-where
-    T::Err: std::fmt::Display,
-{
-    text.parse().unwrap_or_else(|e| {
-        eprintln!("invalid {what} {text:?}: {e}");
-        std::process::exit(2);
-    })
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -72,46 +56,6 @@ fn main() {
     println!("every deterministic reply matched its recorded digest.");
 
     let points = vec![point];
-    if let Some(path) = flag_value(&args, "--json") {
-        let text = kernel_bench::to_json_named("replay", &points);
-        if path == "-" {
-            print!("{text}");
-        } else {
-            std::fs::write(&path, &text).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            });
-            println!("\nwrote {path}");
-        }
-    }
-
-    if let Some(path) = flag_value(&args, "--baseline") {
-        let max_regression = flag_value(&args, "--max-regression")
-            .map_or(DEFAULT_MAX_REGRESSION, |v| {
-                parse_or_die(&v, "--max-regression")
-            });
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        });
-        let baseline = kernel_bench::parse_report(&text).unwrap_or_else(|e| {
-            eprintln!("invalid baseline {path}: {e}");
-            std::process::exit(2);
-        });
-        println!(
-            "\nregression gate vs {path} (tolerance {:.0}%):",
-            max_regression * 100.0
-        );
-        match kernel_bench::regression_gate(&points, &baseline, max_regression) {
-            Ok(lines) => {
-                for line in lines {
-                    println!("  {line}");
-                }
-            }
-            Err(e) => {
-                eprintln!("REGRESSION: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    write_artifact(&args, "replay", &points);
+    gate_against_baseline(&args, &points);
 }

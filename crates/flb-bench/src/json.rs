@@ -1,9 +1,8 @@
 //! A minimal JSON reader/writer for the benchmark artifact files.
 //!
-//! The workspace deliberately carries no JSON dependency, and the vendored
-//! `serde` stub has no serializer — but the perf-trajectory files
-//! (`BENCH_*.json`) must be readable by the regression gate and by external
-//! tooling. This module implements just enough of RFC 8259 for that:
+//! The workspace deliberately carries no JSON dependency, but the
+//! perf-trajectory files (`BENCH_*.json`) must be readable by the
+//! regression gate and by external tooling. This module implements just enough of RFC 8259 for that:
 //! objects, arrays, strings with the standard escapes, `f64` numbers and
 //! the three literals. Emission helpers live with the schema code; parsing
 //! is a plain recursive descent over bytes.

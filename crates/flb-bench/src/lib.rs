@@ -17,11 +17,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod csv;
 pub mod json;
 pub mod kernel_bench;
 pub mod mem;
-pub mod par_bench;
 pub mod registry;
 pub mod replay_bench;
 pub mod report;

@@ -2,6 +2,7 @@
 //! and prints its headline structure. This keeps the figure/table
 //! regeneration commands themselves under test.
 
+use flb_bench::kernel_bench::{self, KernelBenchSpec, KernelDatapoint};
 use std::process::Command;
 
 fn run_quick(exe: &str) -> String {
@@ -128,30 +129,74 @@ fn kernel_quick() {
 
 #[test]
 fn kernel_json_artifact_round_trips_through_the_gate() {
-    // Emit an artifact at a tiny size, then gate a second identical run
-    // against it: measures the full CI code path end to end.
-    let dir = std::env::temp_dir().join("flb-kernel-bench-test");
+    // Drive the CI gate code path with synthetic baselines, so the verdict
+    // never depends on how fast this host runs: one baseline sits far
+    // below any real run (the gate must pass), one far above (it must
+    // fail and name the regression). The passing run also emits an
+    // artifact, which must parse back.
+    let dir = std::env::temp_dir().join(format!(
+        "flb-kernel-gate-{}-{}",
+        std::process::id(),
+        "kernel_json_artifact_round_trips_through_the_gate"
+    ));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let artifact = dir.join("BENCH_test.json");
-    let run = |extra: &[&str]| {
+    let name = KernelBenchSpec::at_scale(5000).name();
+    let baseline = |file: &str, tasks_per_second: f64| {
+        let path = dir.join(file);
+        let point = KernelDatapoint {
+            name: name.clone(),
+            family: "lu".to_string(),
+            tasks: 5050,
+            edges: 9900,
+            procs: 8,
+            ccr: 1.0,
+            seed: 1999,
+            build_seconds: 0.01,
+            schedule_seconds: 0.01,
+            tasks_per_second,
+            makespan: 1,
+            makespan_ratio_vs_reference: None,
+            peak_rss_kb: None,
+        };
+        std::fs::write(&path, kernel_bench::to_json(&[point])).expect("write baseline");
+        path
+    };
+    let slow = baseline("slow.json", 1.0);
+    let fast = baseline("fast.json", 1e15);
+    let emitted = dir.join("emitted.json");
+    let run = |extra: &[&std::path::Path]| {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_kernel"));
         cmd.args(["--tasks", "5000", "--procs", "8", "--no-reference"]);
         cmd.args(extra);
         cmd.output().expect("launch kernel bin")
     };
-    let emit = run(&["--json", artifact.to_str().unwrap()]);
-    assert!(emit.status.success(), "emit failed: {emit:?}");
-    let gate = run(&["--baseline", artifact.to_str().unwrap()]);
+
+    let pass = run(&["--baseline".as_ref(), &slow, "--json".as_ref(), &emitted]);
+    let stdout = String::from_utf8_lossy(&pass.stdout);
     assert!(
-        gate.status.success(),
-        "gate failed\nstdout:\n{}\nstderr:\n{}",
-        String::from_utf8_lossy(&gate.stdout),
-        String::from_utf8_lossy(&gate.stderr)
+        pass.status.success(),
+        "gate failed against a far-slower baseline\nstdout:\n{stdout}\nstderr:\n{}",
+        String::from_utf8_lossy(&pass.stderr)
     );
-    let text = String::from_utf8_lossy(&gate.stdout);
-    assert!(text.contains("regression gate"));
-    assert!(text.contains("ok"));
-    std::fs::remove_file(&artifact).ok();
+    assert!(stdout.contains("regression gate"));
+    assert!(stdout.contains(&format!("{name}: ")) && stdout.contains("ok"));
+    let text = std::fs::read_to_string(&emitted).expect("artifact written");
+    let points = kernel_bench::parse_report(&text).expect("artifact parses");
+    assert_eq!(points.len(), 1);
+    assert_eq!(points[0].name, name);
+
+    let fail = run(&["--baseline".as_ref(), &fast]);
+    let stderr = String::from_utf8_lossy(&fail.stderr);
+    assert_eq!(
+        fail.status.code(),
+        Some(1),
+        "gate passed against a far-faster baseline\nstderr:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("REGRESSION") && stderr.contains(&name),
+        "the failure must name the regressed datapoint: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -52,8 +52,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use flb_baselines::{DscLlb, Etf, Fcp, Mcp};
-use flb_core::{trace, Flb, TieBreak};
+use flb_baselines::Mcp;
+use flb_core::{trace, AlgorithmId, TieBreak};
 use flb_graph::costs::CostModel;
 use flb_graph::gen::Family;
 use flb_graph::serialize::{parse_text, to_text};
@@ -123,9 +123,6 @@ USAGE:
                 [--expect-journal-drops] [--format text|json]
   flb kernel-bench [--tasks N] [--family lu|cholesky|layered] [--procs P]
                 [--ccr X] [--seed S] [--no-reference] [--format text|json]
-  flb par-bench [--tasks N] [--family lu|cholesky|layered] [--procs P]
-                [--ccr X] [--seed S] [--threads 1,2,4] [--reps N]
-                [--min-speedup F [--speedup-at T]] [--format text|json]
   flb lint      [--root DIR] [--format text|json] [--deny-unwaived]
 
 SERVICE OPTIONS: --listen takes `HOST:PORT` (default 127.0.0.1:7171) or
@@ -255,16 +252,10 @@ fn load_machine(a: &Args<'_>) -> Result<Machine, CliError> {
 }
 
 fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, CliError> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "flb" => Box::new(Flb::default()),
-        "etf" => Box::new(Etf),
-        "mcp" => Box::new(Mcp::default()),
-        "mcp-ins" => Box::new(Mcp::original()),
-        "fcp" => Box::new(Fcp),
-        "dsc-llb" | "dscllb" => Box::new(DscLlb::default()),
-        "dls" => Box::new(flb_baselines::Dls),
-        "heft" => Box::new(flb_baselines::Heft),
-        "hlfet" => Box::new(flb_baselines::Hlfet),
+    let name = name.to_ascii_lowercase();
+    Ok(match name.as_str() {
+        // Run-time dispatchers are CLI-only; everything else is a
+        // registered `AlgorithmId`.
         "runtime-bl" => Box::new(flb_sim::RuntimeDispatcher(
             flb_sim::DispatchPolicy::BottomLevel,
         )),
@@ -272,7 +263,10 @@ fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, CliError> {
         "runtime-lpt" => Box::new(flb_sim::RuntimeDispatcher(
             flb_sim::DispatchPolicy::LongestTask,
         )),
-        other => return Err(err(format!("unknown algorithm {other:?}"))),
+        other => other
+            .parse::<AlgorithmId>()
+            .map_err(|e| err(e.to_string()))?
+            .scheduler(),
     })
 }
 
@@ -299,7 +293,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         "replay" => cmd_replay(&a),
         "chaos" => cmd_chaos(&a),
         "kernel-bench" => cmd_kernel_bench(&a),
-        "par-bench" => cmd_par_bench(&a),
         "lint" => cmd_lint(&a),
         "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
         other => Err(err(format!("unknown command {other:?}\n\n{USAGE}"))),
@@ -910,7 +903,7 @@ fn cmd_submit(a: &Args<'_>) -> Result<String, CliError> {
 
     let g = load_graph(a)?;
     let machine = load_machine(a)?;
-    let alg: flb_core::AlgorithmId = a
+    let alg: AlgorithmId = a
         .value("--alg")
         .unwrap_or("flb")
         .parse()
@@ -1062,9 +1055,9 @@ fn trace_requests(seed: u64, n: u32) -> Vec<flb_core::ScheduleRequest> {
             _ => flb_graph::gen::independent(rng.random_range(3..9usize)),
         };
         let alg = match rng.random_range(0..3u32) {
-            0 => flb_core::AlgorithmId::Flb,
-            1 => flb_core::AlgorithmId::Etf,
-            _ => flb_core::AlgorithmId::Mcp,
+            0 => AlgorithmId::Flb,
+            1 => AlgorithmId::Etf,
+            _ => AlgorithmId::Mcp,
         };
         let machine = Machine::new(rng.random_range(2..5usize));
         out.push(flb_core::ScheduleRequest::new(alg, graph, machine));
@@ -1272,81 +1265,6 @@ fn cmd_kernel_bench(a: &Args<'_>) -> Result<String, CliError> {
         }
         other => Err(err(format!("unknown --format {other:?} (text|json)"))),
     }
-}
-
-/// `flb par-bench`: thread-scaling of the work-stealing parallel FLB
-/// (the CLI face of experiment X17; the `par` bench bin measures the
-/// committed million-task trajectory).
-fn cmd_par_bench(a: &Args<'_>) -> Result<String, CliError> {
-    use flb_bench::kernel_bench;
-    use flb_bench::mem::fmt_peak_rss;
-    use flb_bench::par_bench::{self, ParBenchSpec};
-    use flb_bench::report::{fmt_seconds, table};
-
-    let tasks: usize = a.parsed("--tasks", 100_000)?;
-    if tasks == 0 {
-        return Err(err("--tasks must be at least 1"));
-    }
-    let mut spec = ParBenchSpec::at_scale(tasks);
-    if let Some(f) = a.value("--family") {
-        spec.family = f.parse().map_err(err)?;
-    }
-    spec.procs = a.parsed("--procs", spec.procs)?;
-    if spec.procs == 0 {
-        return Err(err("--procs must be at least 1"));
-    }
-    spec.ccr = a.parsed("--ccr", spec.ccr)?;
-    spec.seed = a.parsed("--seed", spec.seed)?;
-    if let Some(list) = a.value("--threads") {
-        spec.threads = list
-            .split(',')
-            .map(|t| t.trim().parse().map_err(|e| err(format!("--threads: {e}"))))
-            .collect::<Result<_, _>>()?;
-        if spec.threads.is_empty() {
-            return Err(err("--threads needs at least one thread count"));
-        }
-    }
-    let reps: usize = a.parsed("--reps", 2)?;
-    let points = par_bench::run(&spec, reps.max(1));
-
-    let mut out = match a.value("--format").unwrap_or("text") {
-        "json" => kernel_bench::to_json_named("par", &points),
-        "text" => {
-            let header: Vec<String> =
-                ["point", "V", "schedule", "tasks/s", "vs oracle", "peak RSS"]
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect();
-            let rows: Vec<Vec<String>> = points
-                .iter()
-                .map(|p| {
-                    vec![
-                        p.name.clone(),
-                        p.tasks.to_string(),
-                        fmt_seconds(p.schedule_seconds),
-                        format!("{:.0}", p.tasks_per_second),
-                        p.makespan_ratio_vs_reference
-                            .map_or("—".into(), |r| format!("{r:.4}")),
-                        fmt_peak_rss(p.peak_rss_kb),
-                    ]
-                })
-                .collect();
-            table(&header, &rows)
-        }
-        other => return Err(err(format!("unknown --format {other:?} (text|json)"))),
-    };
-    if let Some(min) = a.value("--min-speedup") {
-        let min: f64 = min
-            .parse()
-            .map_err(|e| err(format!("--min-speedup: {e}")))?;
-        let at: usize = a.parsed("--speedup-at", 4)?;
-        let line = par_bench::speedup_gate(&points, &spec.name(1), &spec.name(at), min)
-            .map_err(|e| err(format!("thread-scaling gate failed: {e}")))?;
-        out.push('\n');
-        out.push_str(&line);
-        out.push('\n');
-    }
-    Ok(out)
 }
 
 /// `flb lint`: run the flb-analyze rules over the workspace sources.

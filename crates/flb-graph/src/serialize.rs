@@ -2,9 +2,9 @@
 //!
 //! Two formats:
 //!
-//! * **serde** — [`TaskGraphData`] is a plain-old-data mirror of
-//!   [`TaskGraph`] deriving `Serialize`/`Deserialize`, convertible in both
-//!   directions (deserialisation re-validates through the builder);
+//! * **plain data** — [`TaskGraphData`] is a plain-old-data mirror of
+//!   [`TaskGraph`], convertible in both directions (the way back
+//!   re-validates through the builder);
 //! * **text** — a minimal line-oriented format for CLI interchange:
 //!
 //!   ```text
@@ -15,11 +15,10 @@
 //!   ```
 
 use crate::{Cost, GraphError, TaskGraph, TaskGraphBuilder, TaskId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Serde-friendly mirror of [`TaskGraph`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Plain-data mirror of [`TaskGraph`].
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskGraphData {
     /// Graph name.
     pub name: String,

@@ -10,8 +10,8 @@
 //! * [`FlatGraph`] — `u32`-indexed CSR in six flat arrays, with a
 //!   streaming constructor so generators build straight into it;
 //! * [`KernelRun`] — SoA arenas for per-task state and the five FLB lists
-//!   as preallocated flat structures ([`list::FlatHeap`],
-//!   [`list::PairingForest`]); zero heap allocations after init;
+//!   as preallocated flat structures (an indexed binary heap and a
+//!   pairing-heap forest); zero heap allocations after init;
 //! * [`FlbKernel`] — a [`flb_sched::Scheduler`] adapter so the kernel sits
 //!   in the conformance registry next to the reference scheduler and every
 //!   differential oracle applies to it.
@@ -26,7 +26,7 @@
 #![warn(missing_docs)]
 
 mod graph;
-pub mod list;
+mod list;
 mod run;
 
 pub use graph::{FlatGraph, NONE};

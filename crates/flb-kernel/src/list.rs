@@ -62,22 +62,10 @@ impl<K: Copy + Ord> FlatHeap<K> {
         self.heap.len()
     }
 
-    /// Whether the heap is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Whether `id` is in the heap.
     #[must_use]
     pub fn contains(&self, id: u32) -> bool {
         self.pos[id as usize] != NONE
-    }
-
-    /// The key of `id`, if present.
-    #[must_use]
-    pub fn key_of(&self, id: u32) -> Option<K> {
-        self.contains(id).then(|| self.key[id as usize])
     }
 
     /// Minimum entry `(id, key)` without removing it.
@@ -127,13 +115,6 @@ impl<K: Copy + Ord> FlatHeap<K> {
         self.sift_up(slot);
         let slot = self.pos[id as usize] as usize;
         self.sift_down(slot);
-    }
-
-    /// Removes and returns the minimum entry.
-    pub fn pop(&mut self) -> Option<(u32, K)> {
-        let &min = self.heap.first()?;
-        self.remove(min);
-        Some((min, self.key[min as usize]))
     }
 
     /// Removes `id`, returning its key if it was present.
@@ -195,49 +176,13 @@ impl<K: Copy + Ord> FlatHeap<K> {
     // flb-analyze: region-end(no-alloc)
 }
 
-/// Where a [`PairingForest`] reads its comparison keys from.
-///
-/// The forest stores no keys: every operation asks this source for
-/// `(time, bottom level)` of a node and compares
-/// `(time(a), Reverse(bl(a)), a)` — a strict total order. The sequential
-/// kernel reads plain slices ([`SliceKeys`]); `flb-par` implements the
-/// trait over atomic arrays so shards can share one key arena while each
-/// owns its forest. Keys must not change while a node is linked into a
-/// heap (the usual heap contract).
-pub trait TaskKeys {
-    /// The primary key (a time quantity) of node `v`.
-    fn time(&self, v: u32) -> Time;
-    /// The tie-break bottom level of node `v` (larger wins).
-    fn bl(&self, v: u32) -> Time;
-}
-
-/// [`TaskKeys`] over two plain slices — the sequential kernel's view.
-#[derive(Clone, Copy, Debug)]
-pub struct SliceKeys<'a> {
-    /// Primary key per node.
-    pub time: &'a [Time],
-    /// Tie-break bottom level per node.
-    pub bl: &'a [Time],
-}
-
-impl TaskKeys for SliceKeys<'_> {
-    #[inline]
-    fn time(&self, v: u32) -> Time {
-        self.time[v as usize]
-    }
-
-    #[inline]
-    fn bl(&self, v: u32) -> Time {
-        self.bl[v as usize]
-    }
-}
-
 /// `P` pairing heaps over a shared universe of `V` nodes.
 ///
-/// The caller owns the root of each heap (`NONE` = empty) and the key
-/// source; every operation returns the new root. Nodes must be in at most
-/// one heap of a forest at a time — exactly FLB's invariant that a task is
-/// enabled by one processor.
+/// The caller owns the root of each heap (`NONE` = empty) and the two
+/// key slices; every operation returns the new root. Keys must not change
+/// while a node is linked into a heap (the usual heap contract). Nodes
+/// must be in at most one heap of a forest at a time — exactly FLB's
+/// invariant that a task is enabled by one processor.
 #[derive(Clone, Debug)]
 pub struct PairingForest {
     /// First child of a node, or `NONE`.
@@ -250,12 +195,13 @@ pub struct PairingForest {
     prev: Vec<u32>,
 }
 
-/// `(time(a), Reverse(bl(a)), a) < (time(b), Reverse(bl(b)), b)` — the
+/// `(time[a], Reverse(bl[a]), a) < (time[b], Reverse(bl[b]), b)` — the
 /// paper's task ordering: earlier time first, then larger bottom level,
 /// then smaller id.
 #[inline]
-fn task_less<K: TaskKeys + ?Sized>(keys: &K, a: u32, b: u32) -> bool {
-    (keys.time(a), Reverse(keys.bl(a)), a) < (keys.time(b), Reverse(keys.bl(b)), b)
+fn task_less(time: &[Time], bl: &[Time], a: u32, b: u32) -> bool {
+    let key = |v: u32| (time[v as usize], Reverse(bl[v as usize]), v);
+    key(a) < key(b)
 }
 
 impl PairingForest {
@@ -275,8 +221,8 @@ impl PairingForest {
 
     /// Melds two non-`NONE` roots; returns the winner.
     #[inline]
-    fn meld<K: TaskKeys + ?Sized>(&mut self, keys: &K, a: u32, b: u32) -> u32 {
-        let (top, bot) = if task_less(keys, a, b) {
+    fn meld(&mut self, time: &[Time], bl: &[Time], a: u32, b: u32) -> u32 {
+        let (top, bot) = if task_less(time, bl, a, b) {
             (a, b)
         } else {
             (b, a)
@@ -294,7 +240,7 @@ impl PairingForest {
     /// Inserts node `v` into the heap rooted at `root` (`NONE` = empty);
     /// returns the new root. `v` must not be in any heap of the forest.
     #[must_use]
-    pub fn insert<K: TaskKeys + ?Sized>(&mut self, keys: &K, root: u32, v: u32) -> u32 {
+    pub fn insert(&mut self, time: &[Time], bl: &[Time], root: u32, v: u32) -> u32 {
         debug_assert!(
             self.child[v as usize] == NONE
                 && self.sib[v as usize] == NONE
@@ -304,13 +250,13 @@ impl PairingForest {
         if root == NONE {
             v
         } else {
-            self.meld(keys, root, v)
+            self.meld(time, bl, root, v)
         }
     }
 
     /// Two-pass pairing combine of a sibling list starting at `first`
     /// (whose `prev` must already be cleared); returns the resulting root.
-    fn combine_siblings<K: TaskKeys + ?Sized>(&mut self, keys: &K, first: u32) -> u32 {
+    fn combine_siblings(&mut self, time: &[Time], bl: &[Time], first: u32) -> u32 {
         // Pass 1: meld adjacent pairs left to right, stacking the winners
         // through their (now free) `sib` links.
         let mut stack = NONE;
@@ -329,7 +275,7 @@ impl PairingForest {
             self.prev[a as usize] = NONE;
             self.sib[b as usize] = NONE;
             self.prev[b as usize] = NONE;
-            let w = self.meld(keys, a, b);
+            let w = self.meld(time, bl, a, b);
             self.sib[w as usize] = stack;
             stack = w;
             cur = next;
@@ -343,7 +289,7 @@ impl PairingForest {
             root = if root == NONE {
                 cur
             } else {
-                self.meld(keys, root, cur)
+                self.meld(time, bl, root, cur)
             };
             cur = next;
         }
@@ -352,7 +298,7 @@ impl PairingForest {
 
     /// Removes the minimum (the root itself); returns the new root.
     #[must_use]
-    pub fn pop_min<K: TaskKeys + ?Sized>(&mut self, keys: &K, root: u32) -> u32 {
+    pub fn pop_min(&mut self, time: &[Time], bl: &[Time], root: u32) -> u32 {
         debug_assert_ne!(root, NONE, "pop from empty heap");
         let c = self.child[root as usize];
         self.child[root as usize] = NONE;
@@ -360,15 +306,15 @@ impl PairingForest {
             return NONE;
         }
         self.prev[c as usize] = NONE;
-        self.combine_siblings(keys, c)
+        self.combine_siblings(time, bl, c)
     }
 
     /// Removes an arbitrary node `v` from the heap rooted at `root`;
     /// returns the new root.
     #[must_use]
-    pub fn remove<K: TaskKeys + ?Sized>(&mut self, keys: &K, root: u32, v: u32) -> u32 {
+    pub fn remove(&mut self, time: &[Time], bl: &[Time], root: u32, v: u32) -> u32 {
         if v == root {
-            return self.pop_min(keys, root);
+            return self.pop_min(time, bl, root);
         }
         // Unlink v from its sibling list (it has a prev: it is not a root).
         let p = self.prev[v as usize];
@@ -390,8 +336,8 @@ impl PairingForest {
             return root;
         }
         self.prev[c as usize] = NONE;
-        let t = self.combine_siblings(keys, c);
-        self.meld(keys, root, t)
+        let t = self.combine_siblings(time, bl, c);
+        self.meld(time, bl, root, t)
     }
 
     // flb-analyze: region-end(no-alloc)
@@ -401,6 +347,12 @@ impl PairingForest {
 mod tests {
     use super::*;
 
+    fn pop<K: Copy + Ord>(h: &mut FlatHeap<K>) -> Option<u32> {
+        let (id, _) = h.peek()?;
+        h.remove(id);
+        Some(id)
+    }
+
     #[test]
     fn flat_heap_orders_and_breaks_ties_by_id() {
         let mut h: FlatHeap<(Time, Reverse<Time>)> = FlatHeap::new(8, (0, Reverse(0)));
@@ -408,11 +360,11 @@ mod tests {
         h.insert(1, (5, Reverse(0)));
         h.insert(7, (2, Reverse(0)));
         assert_eq!(h.peek(), Some((7, (2, Reverse(0)))));
-        assert_eq!(h.pop().map(|(i, _)| i), Some(7));
+        assert_eq!(pop(&mut h), Some(7));
         // Equal keys: smaller id first.
-        assert_eq!(h.pop().map(|(i, _)| i), Some(1));
-        assert_eq!(h.pop().map(|(i, _)| i), Some(3));
-        assert_eq!(h.pop(), None);
+        assert_eq!(pop(&mut h), Some(1));
+        assert_eq!(pop(&mut h), Some(3));
+        assert_eq!(pop(&mut h), None);
     }
 
     #[test]
@@ -438,7 +390,7 @@ mod tests {
         assert_eq!(h.peek(), Some((2, 0)));
         h.insert_or_update(4, 99);
         assert_eq!(h.len(), 5);
-        assert_eq!(h.key_of(4), Some(99));
+        assert_eq!(h.remove(4), Some(99));
     }
 
     /// Differential test: the forest agrees with a sorted-set model under
@@ -467,14 +419,7 @@ mod tests {
                 0 | 1 => {
                     let v = (rng() % n) as u32;
                     if !present[v as usize] {
-                        roots[h] = f.insert(
-                            &SliceKeys {
-                                time: &time,
-                                bl: &bl,
-                            },
-                            roots[h],
-                            v,
-                        );
+                        roots[h] = f.insert(&time, &bl, roots[h], v);
                         model[h].insert(key(v));
                         present[v as usize] = true;
                     }
@@ -483,13 +428,7 @@ mod tests {
                     if roots[h] != NONE {
                         let min = roots[h];
                         assert_eq!(key(min), *model[h].iter().next().unwrap());
-                        roots[h] = f.pop_min(
-                            &SliceKeys {
-                                time: &time,
-                                bl: &bl,
-                            },
-                            roots[h],
-                        );
+                        roots[h] = f.pop_min(&time, &bl, roots[h]);
                         model[h].remove(&key(min));
                         present[min as usize] = false;
                     }
@@ -498,14 +437,7 @@ mod tests {
                     // Remove an arbitrary present element of heap h.
                     if let Some(&k) = model[h].iter().nth(rng() % model[h].len().max(1)) {
                         let v = k.2;
-                        roots[h] = f.remove(
-                            &SliceKeys {
-                                time: &time,
-                                bl: &bl,
-                            },
-                            roots[h],
-                            v,
-                        );
+                        roots[h] = f.remove(&time, &bl, roots[h], v);
                         model[h].remove(&k);
                         present[v as usize] = false;
                     }
@@ -524,13 +456,7 @@ mod tests {
             let mut drained = Vec::new();
             while roots[h] != NONE {
                 drained.push(key(roots[h]));
-                roots[h] = f.pop_min(
-                    &SliceKeys {
-                        time: &time,
-                        bl: &bl,
-                    },
-                    roots[h],
-                );
+                roots[h] = f.pop_min(&time, &bl, roots[h]);
             }
             let expect: Vec<_> = model[h].iter().copied().collect();
             assert_eq!(drained, expect);

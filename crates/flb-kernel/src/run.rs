@@ -22,7 +22,7 @@
 //! counting-allocator integration test).
 
 use crate::graph::{FlatGraph, NONE};
-use crate::list::{FlatHeap, PairingForest, SliceKeys};
+use crate::list::{FlatHeap, PairingForest};
 use flb_core::{RunStats, TieBreak};
 use flb_graph::Time;
 use std::cmp::Reverse;
@@ -235,20 +235,15 @@ impl<'g> KernelRun<'g> {
 
         // Remove the winner from its lists.
         if from_ep_list {
-            let keys = SliceKeys {
-                time: &self.emt_on_ep,
-                bl: &self.bl,
-            };
-            self.emt_root[proc as usize] =
-                self.emt_forest
-                    .remove(&keys, self.emt_root[proc as usize], task);
-            let keys = SliceKeys {
-                time: &self.lmt,
-                bl: &self.bl,
-            };
+            self.emt_root[proc as usize] = self.emt_forest.remove(
+                &self.emt_on_ep,
+                &self.bl,
+                self.emt_root[proc as usize],
+                task,
+            );
             self.lmt_root[proc as usize] =
                 self.lmt_forest
-                    .remove(&keys, self.lmt_root[proc as usize], task);
+                    .remove(&self.lmt, &self.bl, self.lmt_root[proc as usize], task);
             self.ep_in_lists -= 1;
             self.stats.ep_selections += 1;
         } else {
@@ -293,18 +288,10 @@ impl<'g> KernelRun<'g> {
             if lmt >= prt {
                 break;
             }
-            let keys = SliceKeys {
-                time: &self.lmt,
-                bl: &self.bl,
-            };
-            self.lmt_root[p as usize] = self.lmt_forest.pop_min(&keys, head);
-            let keys = SliceKeys {
-                time: &self.emt_on_ep,
-                bl: &self.bl,
-            };
+            self.lmt_root[p as usize] = self.lmt_forest.pop_min(&self.lmt, &self.bl, head);
             self.emt_root[p as usize] =
                 self.emt_forest
-                    .remove(&keys, self.emt_root[p as usize], head);
+                    .remove(&self.emt_on_ep, &self.bl, self.emt_root[p as usize], head);
             self.ep_in_lists -= 1;
             self.non_ep
                 .insert(head, (lmt, Reverse(self.bl[head as usize])));
@@ -380,18 +367,15 @@ impl<'g> KernelRun<'g> {
                     self.non_ep.insert(s, (lmt, Reverse(self.bl[s as usize])));
                     self.stats.non_ep_promotions += 1;
                 } else {
-                    let keys = SliceKeys {
-                        time: &self.emt_on_ep,
-                        bl: &self.bl,
-                    };
-                    self.emt_root[ep as usize] =
-                        self.emt_forest.insert(&keys, self.emt_root[ep as usize], s);
-                    let keys = SliceKeys {
-                        time: &self.lmt,
-                        bl: &self.bl,
-                    };
+                    self.emt_root[ep as usize] = self.emt_forest.insert(
+                        &self.emt_on_ep,
+                        &self.bl,
+                        self.emt_root[ep as usize],
+                        s,
+                    );
                     self.lmt_root[ep as usize] =
-                        self.lmt_forest.insert(&keys, self.lmt_root[ep as usize], s);
+                        self.lmt_forest
+                            .insert(&self.lmt, &self.bl, self.lmt_root[ep as usize], s);
                     self.ep_in_lists += 1;
                     self.update_proc_lists(ep);
                     self.stats.ep_promotions += 1;

@@ -103,7 +103,6 @@ fn steady_state_loop_never_allocates() {
         "insert",
         "insert_or_update",
         "update",
-        "pop",
         "remove",
         "sift_up",
         "sift_down",

@@ -119,3 +119,27 @@ fn reentrant_acquisition_is_caught() {
         "panic must name the self-deadlock, got: {msg}"
     );
 }
+
+/// Two distinct locks of one named class — an indexed collection such as
+/// one mailbox per shard — held at once: opposite index orders on two
+/// threads deadlock, so the checker must panic on the second acquisition
+/// and name the class.
+#[test]
+fn holding_two_inboxes_at_once_is_caught() {
+    let a = Mutex::named("lockcheck-e2e.inbox", Vec::<u32>::new());
+    let b = Mutex::named("lockcheck-e2e.inbox", Vec::<u32>::new());
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        let _ga = a.lock();
+        let _gb = b.lock();
+    }))
+    .expect_err("same-class re-entry must panic under lockcheck");
+    let msg = err
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_default();
+    assert!(
+        msg.contains("lockcheck-e2e.inbox"),
+        "panic must name the inbox class, got: {msg}"
+    );
+}

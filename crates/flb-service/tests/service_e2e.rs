@@ -165,10 +165,17 @@ fn tight_deadline_expires_in_queue() {
             })
         })
         .collect();
-    // Give the slow requests a head start so they reach the queue first.
-    thread::sleep(std::time::Duration::from_millis(20));
-
+    // Wait until one slow request is running and the other is queued, so
+    // the deadline request is certain to land behind a busy worker.
     let mut client = Client::connect(&endpoint).unwrap();
+    let t0 = std::time::Instant::now();
+    while client.stats().unwrap().queue_depth < 1 {
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(30),
+            "slow requests never queued"
+        );
+        thread::sleep(std::time::Duration::from_micros(200));
+    }
     let outcome = client
         .schedule(AlgorithmId::Flb, lu(80, 2), Machine::new(4), 1)
         .unwrap();
